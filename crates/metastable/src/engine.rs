@@ -17,8 +17,6 @@
 //! trivially identical under every event-queue kind, keeping the
 //! campaign's queue-invariance digest safe.
 
-use std::collections::BTreeMap;
-
 use simcore::rng::Stream;
 use simcore::sim::Simulation;
 use simcore::time::{SimDuration, SimTime, NANOS_PER_SEC};
@@ -27,7 +25,10 @@ use stutter::predict::FailurePredictor;
 
 use crate::client::{Backoff, BudgetConfig, RetryBudget, RetryPolicy};
 use crate::policy::{BreakerState, CircuitBreaker, Mitigation, ShedConfig};
-use crate::server::{Cohort, ServerQueue};
+use crate::server::{Cohort, Expired, ServerQueue};
+
+/// Ticks over which one batch of clients' next fresh issues is spread.
+const THINK_SPREAD: u64 = 4;
 
 /// Closed-loop population configuration.
 #[derive(Clone, Copy, Debug)]
@@ -97,8 +98,21 @@ impl Config {
         if self.population == 0 {
             return Err("population must be non-empty".to_string());
         }
-        if self.service_rate.is_nan() || self.service_rate <= 0.0 {
-            return Err(format!("service rate must be positive, got {}", self.service_rate));
+        if !self.service_rate.is_finite() || self.service_rate <= 0.0 {
+            return Err(format!(
+                "service rate must be finite and positive, got {}",
+                self.service_rate
+            ));
+        }
+        // NaN and infinity fail these comparisons too. Below 2^53 requests
+        // per run, the `f64` arrival accumulator and every counter stay exact.
+        let open_total = self.open_per_sec * self.horizon.as_secs_f64();
+        if !(self.open_per_sec >= 0.0 && open_total < 2f64.powi(53)) {
+            return Err(format!(
+                "open-arrival rate (open_per_sec) must be non-negative and issue fewer than \
+                 2^53 requests over the horizon, got {}",
+                self.open_per_sec
+            ));
         }
         if self.policy.max_attempts < 1 {
             return Err("at least one attempt per operation".to_string());
@@ -244,8 +258,12 @@ struct Engine {
     predictor: Option<(FailurePredictor, ShedConfig, f64, f64)>,
     pred_armed: bool,
     plain_shed: Option<ShedConfig>,
-    think_wheel: BTreeMap<u64, u64>,
-    backoff_wheel: BTreeMap<u64, BTreeMap<u32, u64>>,
+    /// Clients due to issue a fresh request, in slot `tick % len`.
+    think_ring: Vec<u64>,
+    /// Clients due to retry, in slot `tick % len` at index `attempt - 2`.
+    backoff_ring: Vec<Vec<u64>>,
+    /// Reused buffer for the cohorts a tick's deadline orphans.
+    expired: Vec<Expired>,
     jitter: Stream,
     credit: f64,
     open_acc: f64,
@@ -284,9 +302,18 @@ impl Engine {
                 (None, None, Some((FailurePredictor::new(predictor), shed, level, decline)))
             }
         };
-        let mut think_wheel: BTreeMap<u64, u64> = BTreeMap::new();
+        // A slot must never alias a later tick, so each ring spans its
+        // farthest schedule-ahead distance, capped by the run length: due
+        // ticks at or past the horizon take no slot (see `ring_slot`).
+        let slots = |reach: u64| reach.min(ticks) as usize + 1;
+        let mut think_ring = vec![0; slots(think_ticks + THINK_SPREAD - 1)];
+        // Backoff delays never shrink with the attempt number.
+        let max_delay = cfg.policy.backoff.delay(cfg.policy.max_attempts.saturating_sub(1));
+        let backoff_ring = vec![Vec::new(); slots(cfg.dur_ticks(max_delay))];
         if cfg.initial_burst {
-            think_wheel.insert(0, cfg.population);
+            if let Some(slot) = ring_slot(&mut think_ring, 0, ticks) {
+                *slot = cfg.population;
+            }
         } else {
             // Stagger first issues uniformly over one think time, with a
             // seeded phase so replicates de-correlate.
@@ -296,8 +323,8 @@ impl Engine {
                 let cum = cfg.population * (s + 1) / think_ticks;
                 let c = cum - prev;
                 prev = cum;
-                if c > 0 {
-                    *think_wheel.entry((s + phase) % think_ticks).or_insert(0) += c;
+                if let Some(slot) = ring_slot(&mut think_ring, (s + phase) % think_ticks, ticks) {
+                    *slot += c;
                 }
             }
         }
@@ -311,8 +338,9 @@ impl Engine {
             predictor,
             pred_armed: false,
             plain_shed,
-            think_wheel,
-            backoff_wheel: BTreeMap::new(),
+            think_ring,
+            backoff_ring,
+            expired: Vec::new(),
             jitter: rng.derive("meta-jitter"),
             credit: 0.0,
             open_acc: 0.0,
@@ -352,14 +380,13 @@ impl Engine {
             return;
         }
         let base = t + self.think_ticks;
-        let spread = 4;
-        let phase = self.jitter.next_below(spread);
-        let per = n / spread;
-        let rem = n % spread;
-        for s in 0..spread {
+        let phase = self.jitter.next_below(THINK_SPREAD);
+        let per = n / THINK_SPREAD;
+        let rem = n % THINK_SPREAD;
+        for s in 0..THINK_SPREAD {
             let c = per + if s == phase { rem } else { 0 };
-            if c > 0 {
-                *self.think_wheel.entry(base + s).or_insert(0) += c;
+            if let Some(slot) = ring_slot(&mut self.think_ring, base + s, self.ticks) {
+                *slot += c;
             }
         }
         self.in_think += n;
@@ -377,8 +404,13 @@ impl Engine {
         let refused = n - granted;
         if granted > 0 {
             let delay = self.cfg.dur_ticks(self.cfg.policy.backoff.delay(attempt));
-            let slot = self.backoff_wheel.entry(t + delay).or_default();
-            *slot.entry(attempt + 1).or_insert(0) += granted;
+            if let Some(slot) = ring_slot(&mut self.backoff_ring, t + delay, self.ticks) {
+                let idx = (attempt + 1) as usize - 2;
+                slot.resize(slot.len().max(idx + 1), 0);
+                if let Some(count) = slot.get_mut(idx) {
+                    *count += granted;
+                }
+            }
             self.in_backoff += granted;
             self.totals.retries_scheduled += granted;
         }
@@ -438,11 +470,9 @@ impl Engine {
         if remaining > 0 {
             self.totals.admitted += remaining;
             self.queue.push(Cohort {
-                issued_tick: t,
                 deadline_tick: t + self.timeout_ticks,
                 attempt,
                 remaining,
-                live: true,
                 open,
             });
             if !open {
@@ -501,7 +531,9 @@ impl Engine {
         self.schedule_think(t, served.live_closed);
 
         // Timeouts: unserved remainders orphan, issuers retry or give up.
-        for e in self.queue.expire(t) {
+        let mut expired = std::mem::take(&mut self.expired);
+        self.queue.expire(t, &mut expired);
+        for e in expired.drain(..) {
             if let Some(b) = &mut self.breaker {
                 b.record(0, e.count);
             }
@@ -514,16 +546,25 @@ impl Engine {
                 self.fail_path(t, e.attempt, e.count);
             }
         }
+        self.expired = expired;
 
         // Issue: retries (ascending attempt), then fresh, then open.
         let mut admit_left = self.breaker.as_ref().and_then(|b| b.admit_limit());
-        if let Some(batches) = self.backoff_wheel.remove(&t) {
-            for (attempt, count) in batches {
+        // Admission schedules retries at least one tick ahead, never into
+        // the slot being drained.
+        for attempt in 2.. {
+            let slot = ring_slot(&mut self.backoff_ring, t, self.ticks);
+            let Some(count) = slot.and_then(|s| s.get_mut(attempt as usize - 2)) else {
+                break;
+            };
+            let count = std::mem::take(count);
+            if count > 0 {
                 self.in_backoff -= count;
                 self.admit(t, attempt, count, false, shed, &mut admit_left);
             }
         }
-        if let Some(fresh) = self.think_wheel.remove(&t) {
+        let fresh = ring_slot(&mut self.think_ring, t, self.ticks).map(std::mem::take);
+        if let Some(fresh) = fresh.filter(|&n| n > 0) {
             self.in_think -= fresh;
             self.admit(t, 1, fresh, false, shed, &mut admit_left);
         }
@@ -567,6 +608,13 @@ impl Engine {
     }
 }
 
+/// The ring slot counting `due`, or `None` at or past the horizon: such
+/// clients stay counted in `in_think`/`in_backoff` without a slot.
+fn ring_slot<T>(ring: &mut [T], due: u64, ticks: u64) -> Option<&mut T> {
+    let len = ring.len() as u64;
+    ring.get_mut((due % len) as usize).filter(|_| due < ticks)
+}
+
 /// Runs the closed loop to the horizon under `trigger` and `mitigation`.
 ///
 /// Deterministic given `(config, trigger, rng)`: the run is driven by a
@@ -578,18 +626,17 @@ pub fn run(
     mitigation: Mitigation,
     rng: &mut Stream,
 ) -> RunTrace {
-    let engine = Engine::new(*cfg, trigger.clone(), mitigation, rng);
-    let ticks = engine.ticks;
-    let mut sim = Simulation::new(engine);
+    drive(Simulation::new(Engine::new(*cfg, trigger.clone(), mitigation, rng)))
+}
+
+/// Steps the simulation's engine once per tick up to the horizon.
+fn drive(mut sim: Simulation<Engine>) -> RunTrace {
+    let (ticks, horizon) = (sim.state().ticks, sim.state().cfg.horizon);
     sim.schedule_periodic(SimDuration::ZERO, move |eng: &mut Engine, sched| {
         eng.step(sched.now());
-        if eng.tick >= ticks {
-            None
-        } else {
-            Some(eng.cfg.dt)
-        }
+        (eng.tick < ticks).then_some(eng.cfg.dt)
     });
-    sim.run_until(SimTime::ZERO + cfg.horizon);
+    sim.run_until(SimTime::ZERO + horizon);
     sim.into_state().finish()
 }
 
@@ -653,6 +700,24 @@ mod tests {
     }
 
     #[test]
+    fn validate_rejects_a_bad_open_arrival_rate() {
+        // An infinite (or merely huge) rate would saturate the per-tick
+        // arrival count and overflow `issued_open` one tick later.
+        for rate in [f64::INFINITY, f64::NAN, -1.0, 1e300] {
+            let cfg = Config { open_per_sec: rate, ..small() };
+            assert!(cfg.validate().unwrap_err().contains("open_per_sec"), "{rate}");
+        }
+    }
+
+    #[test]
+    fn validate_rejects_a_non_finite_service_rate() {
+        for rate in [f64::INFINITY, f64::NAN] {
+            let cfg = Config { service_rate: rate, ..small() };
+            assert!(cfg.validate().unwrap_err().contains("service rate"), "{rate}");
+        }
+    }
+
+    #[test]
     fn quiet_run_conserves_and_serves() {
         let mut rng = Stream::from_seed(7).derive("meta-engine-test-quiet");
         let cfg = small();
@@ -713,22 +778,9 @@ mod tests {
     fn identical_under_both_queue_kinds() {
         use simcore::queue::QueueKind;
         let gp = |kind: QueueKind| {
-            let engine = {
-                let mut rng = Stream::from_seed(11).derive("meta-engine-test-kinds");
-                Engine::new(small(), outage(30, 10), Mitigation::None, &mut rng)
-            };
-            let ticks = engine.ticks;
-            let mut sim = Simulation::with_queue_kind(engine, kind);
-            sim.schedule_periodic(SimDuration::ZERO, move |eng: &mut Engine, sched| {
-                eng.step(sched.now());
-                if eng.tick >= ticks {
-                    None
-                } else {
-                    Some(eng.cfg.dt)
-                }
-            });
-            sim.run_until(SimTime::ZERO + small().horizon);
-            sim.into_state().finish().goodput
+            let mut rng = Stream::from_seed(11).derive("meta-engine-test-kinds");
+            let engine = Engine::new(small(), outage(30, 10), Mitigation::None, &mut rng);
+            drive(Simulation::with_queue_kind(engine, kind)).goodput
         };
         assert_eq!(gp(QueueKind::Calendar), gp(QueueKind::Reference));
     }

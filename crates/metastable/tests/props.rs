@@ -7,12 +7,70 @@
 //! function itself), and its admission limit never starves probes. The
 //! retry budget's token accounting must be non-negative and invariant
 //! under any permutation of same-tick client arrivals, so engine results
-//! cannot depend on client iteration order.
+//! cannot depend on client iteration order. The cohort queue must agree
+//! with a naive one-entry-per-request model on every observable.
 
 use proptest::prelude::*;
 
 use metastable::client::{BudgetConfig, RetryBudget};
 use metastable::policy::{BreakerConfig, CircuitBreaker};
+use metastable::server::{Cohort, Expired, Served, ServerQueue};
+
+/// One queued request of the naive model: its cohort's push index, the
+/// cohort's fields, and whether its issuer has timed out.
+#[derive(Clone, Copy)]
+struct Request {
+    cohort: usize,
+    deadline: u64,
+    attempt: u32,
+    open: bool,
+    orphan: bool,
+}
+
+/// The naive server queue: one entry per request, scanned in full.
+#[derive(Default)]
+struct Model {
+    fifo: std::collections::VecDeque<Request>,
+}
+
+impl Model {
+    fn serve(&mut self, credit: &mut f64, drop_expired: bool) -> Served {
+        let mut out = Served::default();
+        while let Some(r) = self.fifo.front().copied() {
+            if drop_expired && r.orphan {
+                out.dropped_expired += 1;
+            } else if *credit >= 1.0 {
+                *credit -= 1.0;
+                match (r.orphan, r.open) {
+                    (true, _) => out.orphan += 1,
+                    (false, true) => out.live_open += 1,
+                    (false, false) => out.live_closed += 1,
+                }
+            } else {
+                break;
+            }
+            self.fifo.pop_front();
+        }
+        out
+    }
+
+    fn expire(&mut self, tick: u64) -> Vec<Expired> {
+        let mut out: Vec<(usize, Expired)> = Vec::new();
+        for r in self.fifo.iter_mut().filter(|r| !r.orphan && r.deadline <= tick) {
+            r.orphan = true;
+            match out.last_mut() {
+                Some((c, e)) if *c == r.cohort => e.count += 1,
+                _ => out.push((r.cohort, Expired { attempt: r.attempt, count: 1, open: r.open })),
+            }
+        }
+        out.into_iter().map(|(_, e)| e).collect()
+    }
+
+    fn census(&self) -> (u64, u64, u64) {
+        let count = |f: &dyn Fn(&Request) -> bool| self.fifo.iter().filter(|r| f(r)).count() as u64;
+        (count(&|r| !r.orphan && !r.open), count(&|r| !r.orphan && r.open), count(&|r| r.orphan))
+    }
+}
 
 fn breaker_cfg() -> BreakerConfig {
     BreakerConfig {
@@ -134,5 +192,53 @@ proptest! {
         prop_assert_eq!(granted_a, granted_b);
         let total: u64 = requests.iter().sum();
         prop_assert_eq!(granted_a, total.min(a.available() + granted_a));
+    }
+
+    /// The cohort queue and the per-request model agree on every
+    /// `Served` split, `Expired` list, depth and census, and leave the
+    /// same fractional credit, for any interleaving of monotone-deadline
+    /// pushes, fractional credits, advancing expiry ticks and either
+    /// shedding mode. Credits are multiples of 1/8, so both sides'
+    /// subtractions are exact.
+    #[test]
+    fn server_queue_matches_per_request_model(
+        cap in 1u64..60,
+        ops in proptest::collection::vec(
+            (0u8..3, 0u64..12, 1u32..4, any::<bool>()),
+            1..120
+        )
+    ) {
+        let mut q = ServerQueue::new(cap);
+        let mut m = Model::default();
+        let (mut credit_q, mut credit_m) = (0.0f64, 0.0f64);
+        let (mut tick, mut deadline, mut pushed) = (0u64, 0u64, 0usize);
+        for &(op, a, attempt, flag) in &ops {
+            match op {
+                0 => {
+                    deadline = deadline.max(tick + 1) + a % 3;
+                    let n = (a + 1).min(q.free_slots());
+                    q.push(Cohort { deadline_tick: deadline, attempt, remaining: n, open: flag });
+                    let r = Request { cohort: pushed, deadline, attempt, open: flag, orphan: false };
+                    m.fifo.extend(std::iter::repeat_n(r, n as usize));
+                    pushed += 1;
+                }
+                1 => {
+                    credit_q += a as f64 / 8.0;
+                    credit_m += a as f64 / 8.0;
+                    let got = q.serve(&mut credit_q, flag);
+                    prop_assert_eq!(got, m.serve(&mut credit_m, flag));
+                    prop_assert_eq!(credit_q, credit_m);
+                }
+                _ => {
+                    tick += a % 4;
+                    let mut got = Vec::new();
+                    q.expire(tick, &mut got);
+                    prop_assert_eq!(got, m.expire(tick));
+                }
+            }
+            prop_assert_eq!(q.depth(), m.fifo.len() as u64);
+            prop_assert_eq!(q.free_slots(), cap - m.fifo.len() as u64);
+            prop_assert_eq!(q.census(), m.census());
+        }
     }
 }

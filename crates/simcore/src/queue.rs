@@ -6,12 +6,15 @@
 //! maintained* from the loop itself behind the [`EventQueue`] trait:
 //!
 //! * [`ReferenceQueue`] — the original binary heap. Obviously correct,
-//!   `O(log n)` per operation, kept as the differential-test oracle.
+//!   `O(log n)` per operation, and the default for `Simulation::new`:
+//!   the workspace's simulations keep only a handful of events queued,
+//!   where the heap's few comparisons beat any bucket bookkeeping.
 //! * [`CalendarQueue`] — a calendar/ladder queue: a ring of time buckets
 //!   covering one "year" (`width × buckets` nanoseconds), with a sorted
 //!   overflow ladder for events beyond the year. Near-future pushes are
 //!   `O(1)` appends; pops drain one lazily-sorted bucket at a time, so
-//!   batched same-timestamp workloads approach `O(1)` per event.
+//!   batched same-timestamp workloads approach `O(1)` per event. Pick it
+//!   with `Simulation::with_queue_kind` when many events wait at once.
 //!
 //! Both implementations produce the *identical* pop sequence for any push
 //! sequence — ascending `(time, seq)` — which
@@ -88,11 +91,12 @@ pub trait EventQueue {
 }
 
 // ---------------------------------------------------------------------------
-// ReferenceQueue: the original binary heap, now the oracle.
+// ReferenceQueue: the original binary heap, the default.
 // ---------------------------------------------------------------------------
 
-/// The original binary-heap event queue, kept as the differential-test
-/// oracle: `O(log n)` per operation, trivially correct ordering.
+/// The original binary-heap event queue: `O(log n)` per operation,
+/// trivially correct ordering. The process default, and the
+/// differential-test oracle for [`CalendarQueue`].
 #[derive(Default)]
 pub struct ReferenceQueue {
     heap: BinaryHeap<Reverse<EventKey>>,
@@ -488,9 +492,9 @@ impl EventQueue for CalendarQueue {
 /// Which [`EventQueue`] implementation a [`crate::sim::Simulation`] uses.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum QueueKind {
-    /// The calendar/ladder queue (the default).
+    /// The calendar/ladder queue, for many simultaneously queued events.
     Calendar,
-    /// The original binary heap (the test oracle).
+    /// The binary heap (the default, and the differential-test oracle).
     Reference,
 }
 
@@ -513,10 +517,10 @@ impl QueueKind {
 }
 
 /// Process-wide default queue kind for `Simulation::new` (0 = calendar,
-/// 1 = reference). A plain atomic so the digest-invariance gate can flip
-/// the default and re-run a whole campaign without threading a parameter
-/// through every constructor.
-static DEFAULT_KIND: AtomicU8 = AtomicU8::new(0);
+/// 1 = reference, the initial value). A plain atomic so the
+/// digest-invariance gate can flip the default and re-run a whole campaign
+/// without threading a parameter through every constructor.
+static DEFAULT_KIND: AtomicU8 = AtomicU8::new(1);
 
 /// Sets the process-wide default queue kind used by
 /// [`crate::sim::Simulation::new`].
@@ -536,8 +540,8 @@ pub fn set_default_queue_kind(kind: QueueKind) {
 /// The current process-wide default queue kind.
 pub fn default_queue_kind() -> QueueKind {
     match DEFAULT_KIND.load(Ordering::SeqCst) {
-        1 => QueueKind::Reference,
-        _ => QueueKind::Calendar,
+        0 => QueueKind::Calendar,
+        _ => QueueKind::Reference,
     }
 }
 
@@ -650,11 +654,11 @@ mod tests {
 
     #[test]
     fn default_kind_round_trips() {
-        assert_eq!(default_queue_kind(), QueueKind::Calendar);
-        set_default_queue_kind(QueueKind::Reference);
         assert_eq!(default_queue_kind(), QueueKind::Reference);
         set_default_queue_kind(QueueKind::Calendar);
         assert_eq!(default_queue_kind(), QueueKind::Calendar);
+        set_default_queue_kind(QueueKind::Reference);
+        assert_eq!(default_queue_kind(), QueueKind::Reference);
         assert_eq!(QueueKind::Calendar.name(), "calendar");
         assert_eq!(QueueKind::Reference.make().name(), "reference");
     }

@@ -12,8 +12,8 @@
 //! # Determinism contract
 //!
 //! The dispatch order is the ascending `(time, seq)` order of scheduling
-//! calls, *independent of the queue implementation*: the calendar queue
-//! (default) and the binary-heap [`ReferenceQueue`](crate::queue) are
+//! calls, *independent of the queue implementation*: the binary-heap
+//! [`ReferenceQueue`](crate::queue) (default) and the calendar queue are
 //! interchangeable bit-for-bit, and `tests/differential.rs` holds them to
 //! it. Cancelled events still advance the clock and count as executed
 //! (their handler is simply skipped), periodic rearms are sequenced
@@ -302,7 +302,7 @@ impl<'a, S> Scheduler<'a, S> {
 /// A deterministic discrete-event simulation over user state `S`.
 ///
 /// [`Simulation::new`] uses the process-default queue kind
-/// ([`crate::queue::default_queue_kind`], normally the calendar queue);
+/// ([`crate::queue::default_queue_kind`], normally the binary heap);
 /// [`Simulation::with_queue_kind`] and [`Simulation::with_queue`] pick
 /// one explicitly. Every kind dispatches the identical event order.
 pub struct Simulation<S> {

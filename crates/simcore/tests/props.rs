@@ -1,5 +1,5 @@
 //! Property tests for the event core: execution order is a function of
-//! `(time, sequence)` and nothing else.
+//! `(time, sequence)` and nothing else, under either queue kind.
 
 use proptest::prelude::*;
 
@@ -22,14 +22,16 @@ proptest! {
         let mut insertion: Vec<u64> = sorted.clone();
         Stream::from_seed(seed).shuffle(&mut insertion);
 
-        let mut sim = Simulation::new(Vec::<u64>::new());
-        for &ms in &insertion {
-            sim.schedule_at(SimTime::from_millis(ms), move |log: &mut Vec<u64>, _| {
-                log.push(ms);
-            });
+        for kind in [QueueKind::Calendar, QueueKind::Reference] {
+            let mut sim = Simulation::with_queue_kind(Vec::<u64>::new(), kind);
+            for &ms in &insertion {
+                sim.schedule_at(SimTime::from_millis(ms), move |log: &mut Vec<u64>, _| {
+                    log.push(ms);
+                });
+            }
+            sim.run();
+            prop_assert_eq!(sim.into_state(), sorted.clone());
         }
-        sim.run();
-        prop_assert_eq!(sim.into_state(), sorted);
     }
 
     /// Equal-time events run in insertion order — the FIFO tie-break is the
@@ -37,14 +39,16 @@ proptest! {
     /// race on heap internals.
     #[test]
     fn equal_time_events_run_fifo(at in 0u64..1_000_000, n in 1usize..32) {
-        let mut sim = Simulation::new(Vec::<usize>::new());
-        for i in 0..n {
-            sim.schedule_at(SimTime::from_millis(at), move |log: &mut Vec<usize>, _| {
-                log.push(i);
-            });
+        for kind in [QueueKind::Calendar, QueueKind::Reference] {
+            let mut sim = Simulation::with_queue_kind(Vec::<usize>::new(), kind);
+            for i in 0..n {
+                sim.schedule_at(SimTime::from_millis(at), move |log: &mut Vec<usize>, _| {
+                    log.push(i);
+                });
+            }
+            sim.run();
+            prop_assert_eq!(sim.into_state(), (0..n).collect::<Vec<_>>());
         }
-        sim.run();
-        prop_assert_eq!(sim.into_state(), (0..n).collect::<Vec<_>>());
     }
 
     /// Mixed case: any multiset of times executes sorted by time, and within
@@ -53,19 +57,20 @@ proptest! {
     fn multiset_times_execute_in_stable_time_order(
         times in proptest::collection::vec(0u64..10_000, 1..64)
     ) {
-        let mut sim = Simulation::new(Vec::<(u64, usize)>::new());
-        for (i, &ms) in times.iter().enumerate() {
-            sim.schedule_at(SimTime::from_millis(ms), move |log: &mut Vec<(u64, usize)>, _| {
-                log.push((ms, i));
-            });
-        }
-        sim.run();
-        let got = sim.into_state();
         let mut expected: Vec<(u64, usize)> =
             times.iter().copied().enumerate().map(|(i, ms)| (ms, i)).collect();
         // A stable sort by time alone models (time, insertion-seq) order.
         expected.sort_by_key(|&(ms, _)| ms);
-        prop_assert_eq!(got, expected);
+        for kind in [QueueKind::Calendar, QueueKind::Reference] {
+            let mut sim = Simulation::with_queue_kind(Vec::<(u64, usize)>::new(), kind);
+            for (i, &ms) in times.iter().enumerate() {
+                sim.schedule_at(SimTime::from_millis(ms), move |log: &mut Vec<(u64, usize)>, _| {
+                    log.push((ms, i));
+                });
+            }
+            sim.run();
+            prop_assert_eq!(sim.into_state(), expected.clone());
+        }
     }
 }
 

@@ -1,8 +1,8 @@
 //! Digest-invariance gate across event-queue implementations.
 //!
 //! The event engine's queue is pluggable ([`simcore::queue`]): the
-//! calendar queue is the production default, the binary-heap
-//! `ReferenceQueue` is the oracle. Dispatch order — and therefore every
+//! binary-heap `ReferenceQueue` is the default, the calendar queue is
+//! available for workloads that keep many events queued. Dispatch order — and therefore every
 //! seeded result in the workspace — must not depend on which one is
 //! plugged in. This test runs the smoke campaign under *both* kinds and
 //! pins both digests to the same golden as `tests/campaign_smoke.rs`, so
@@ -12,6 +12,7 @@
 //! Single `#[test]`, sequential: the queue kind is a process-wide default
 //! (`set_default_queue_kind`), so the two campaign runs must not overlap
 //! with each other — keeping them in one test body makes that structural.
+//! The previous default is restored afterwards, whatever it was.
 //! The golden matches campaign_smoke's; regenerate the same way
 //! (`cargo run -p fs-bench --release --bin fs-campaign -- --smoke`).
 
@@ -24,6 +25,7 @@ const GOLDEN_SMOKE_DIGEST: u64 = 0xbd73_a9d3_ca4d_7881;
 #[test]
 fn smoke_digest_is_identical_under_both_queue_kinds() {
     let cfg = CampaignConfig::smoke(42);
+    let previous = default_queue_kind();
     let mut digests = Vec::new();
     for kind in [QueueKind::Calendar, QueueKind::Reference] {
         set_default_queue_kind(kind);
@@ -36,8 +38,8 @@ fn smoke_digest_is_identical_under_both_queue_kinds() {
         );
         digests.push((kind, report.digest));
     }
-    set_default_queue_kind(QueueKind::Calendar);
-    assert_eq!(default_queue_kind(), QueueKind::Calendar);
+    set_default_queue_kind(previous);
+    assert_eq!(default_queue_kind(), previous);
     for (kind, digest) in digests {
         assert_eq!(
             digest,
